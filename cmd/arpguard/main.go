@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/arppkt"
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/frame"
 	"repro/internal/labnet"
@@ -125,7 +124,7 @@ func run(w io.Writer, args []string) error {
 
 	// A single scheme deploys directly; a '+'-joined stack routes members
 	// through the shared correlator.
-	var guard *core.Guard
+	var insts []*registry.Instance
 	var stackInst *registry.StackInstance
 	if len(st.Schemes) == 1 {
 		if f := mustFactory(st.Schemes[0].Name); !f.ConstructionOnly() {
@@ -133,15 +132,13 @@ func run(w io.Writer, args []string) error {
 			if err != nil {
 				return err
 			}
-			guard, _ = inst.Handle.(*core.Guard)
+			insts = append(insts, inst)
 		}
 	} else {
 		if stackInst, err = registry.DeployStack(env, st); err != nil {
 			return err
 		}
-		if m := stackInst.Member(registry.NameHybridGuard); m != nil {
-			guard, _ = m.Handle.(*core.Guard)
-		}
+		insts = stackInst.Members
 	}
 
 	fmt.Fprintf(w, "scheme %s vs attack %s (victims run the naive cache policy)\n\n", st.Label(), *atk)
@@ -222,8 +219,11 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "correlation: %d forwarded, %d suppressed (%d cross-scheme)\n",
 			cs.Forwarded, cs.Suppressed, cs.CrossScheme)
 	}
-	if guard != nil {
-		for _, inc := range guard.Incidents() {
+	for _, inst := range insts {
+		if inst.IncidentsFn == nil {
+			continue
+		}
+		for _, inc := range inst.IncidentsFn() {
 			fmt.Fprintf(w, "incident: ip=%s suspect=%s alerts=%d confirmed=%v window=[%v..%v]\n",
 				inc.IP, inc.Suspect, inc.Alerts, inc.Confirmed, inc.FirstAt, inc.LastAt)
 		}

@@ -1,8 +1,8 @@
 // MITM eavesdropping: a client talks to a server; an attacker mounts the
 // full bidirectional poisoning + relay attack and silently reads the
 // session. The example runs the same scenario three ways — undefended,
-// detected by the Guard, and prevented by host middleware — and compares
-// how many payload bytes the attacker captured in each.
+// detected by the hybrid guard, and prevented by host middleware — and
+// compares how many payload bytes the attacker captured in each.
 package main
 
 import (
@@ -10,8 +10,11 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/labnet"
+	"repro/internal/schemes"
+	_ "repro/internal/schemes/hybrid" // registers hybrid-guard
+	"repro/internal/schemes/middleware"
+	"repro/internal/schemes/registry"
 	"repro/internal/traffic"
 )
 
@@ -27,15 +30,20 @@ func runScenario(protect, detect bool) outcome {
 	lan := labnet.Default()
 	server, client := lan.Gateway(), lan.Victim()
 
-	var guard *core.Guard
+	// The server is the LAN's gateway and the client its victim: the guard
+	// seeds both bindings and shields the client; the server gets its own
+	// middleware.
+	var guard *registry.Instance
 	if detect || protect {
-		guard = core.New(lan.Sched, lan.Monitor,
-			core.WithSeedBinding(server.IP(), server.MAC()),
-			core.WithSeedBinding(client.IP(), client.MAC()))
-		lan.Switch.AddTap(guard.Tap())
+		sink := schemes.NewSink()
+		var err error
+		guard, err = registry.Deploy(lan.Env(sink, nil), registry.NameHybridGuard,
+			registry.P{"seedVictim": true, "protectVictim": protect})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if protect {
-			guard.ProtectHost(client)
-			guard.ProtectHost(server)
+			middleware.New(lan.Sched, sink, server)
 		}
 	}
 
@@ -58,8 +66,8 @@ func runScenario(protect, detect bool) outcome {
 		sniffedBytes: lan.Attacker.Stats().Sniffed,
 		delivered:    flow.Stats().Delivered,
 	}
-	if guard != nil {
-		if inc, ok := guard.IncidentFor(server.IP()); ok && inc.Confirmed {
+	for _, inc := range guard.ActionableIncidents() {
+		if inc.IP == server.IP() {
 			out.detected = true
 		}
 	}

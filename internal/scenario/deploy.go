@@ -7,24 +7,16 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/labnet"
 	"repro/internal/schemes/registry"
 )
 
-// deployment accumulates what the plane installed: every guard handle
-// (for incident accounting) and every stack instance (for correlation
-// accounting).
+// deployment accumulates what the plane installed: every scheme instance,
+// stack members included (for incident accounting), and every stack
+// instance (for correlation accounting).
 type deployment struct {
-	guards     []*core.Guard
+	insts      []*registry.Instance
 	stackInsts []*registry.StackInstance
-}
-
-// note records a deployed instance's guard handle, when it has one.
-func (d *deployment) note(inst *registry.Instance) {
-	if g, ok := inst.Handle.(*core.Guard); ok {
-		d.guards = append(d.guards, g)
-	}
 }
 
 // deployOnto installs the schemes and stacks onto every given site, in
@@ -44,7 +36,7 @@ func deployOnto(sites []*labnet.Site, specs []SchemeSpec, stacks []registry.Stac
 			if err != nil {
 				return siteErr(site, err)
 			}
-			d.note(inst)
+			d.insts = append(d.insts, inst)
 		}
 	}
 	for _, st := range stacks {
@@ -54,9 +46,7 @@ func deployOnto(sites []*labnet.Site, specs []SchemeSpec, stacks []registry.Stac
 				return siteErr(site, err)
 			}
 			d.stackInsts = append(d.stackInsts, si)
-			for _, m := range si.Members {
-				d.note(m)
-			}
+			d.insts = append(d.insts, si.Members...)
 		}
 	}
 	return nil
@@ -71,11 +61,19 @@ func siteErr(s *labnet.Site, err error) error {
 	return fmt.Errorf("lan %d: %w", s.Index, err)
 }
 
-// guardResults sums incident accounting over every deployed guard.
+// guardResults sums incident accounting over every instance that
+// aggregates alerts into incidents.
 func (d *deployment) guardResults(res *Result) {
-	for _, g := range d.guards {
-		res.GuardIncidents += len(g.Incidents())
-		res.GuardConfirmed += g.ConfirmedCount()
+	for _, inst := range d.insts {
+		if inst.IncidentsFn == nil {
+			continue
+		}
+		for _, inc := range inst.IncidentsFn() {
+			res.GuardIncidents++
+			if inc.Confirmed {
+				res.GuardConfirmed++
+			}
+		}
 	}
 }
 

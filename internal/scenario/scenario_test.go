@@ -222,6 +222,41 @@ func TestDefenseInDepthScenario(t *testing.T) {
 	}
 }
 
+// TestGuardAlertsCountedOnce runs the bundled hybrid-guard scenario: every
+// alert the guard forwards is counted exactly once in scheme_alerts_total,
+// so the counter agrees with the report's per-scheme alert tally. (The
+// demoted arpwatch layer is counted on its own sink and never forwarded, so
+// it has no tally to agree with.)
+func TestGuardAlertsCountedOnce(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "scenarios", "soho-guard.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spec, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.AlertsByScheme) == 0 {
+		t.Fatal("scenario raised no alerts")
+	}
+	counted := make(map[string]int)
+	for _, c := range res.Telemetry.Counters {
+		if c.Name == "scheme_alerts_total" {
+			counted[c.Labels["scheme"]] += int(c.Value)
+		}
+	}
+	for scheme, n := range res.AlertsByScheme {
+		if counted[scheme] != n {
+			t.Errorf("scheme_alerts_total{scheme=%q} = %d, report tallies %d", scheme, counted[scheme], n)
+		}
+	}
+}
+
 // TestBundledScenariosRoundTrip walks every shipped scenarios/*.json through
 // load → run → re-marshal → re-load: the Spec must survive a JSON round
 // trip losslessly (no field silently dropped by a missing tag), and every

@@ -5,11 +5,11 @@
 package all
 
 import (
-	_ "repro/internal/core"                 // hybrid-guard
 	_ "repro/internal/schemes/activeprobe"  // active-probe
 	_ "repro/internal/schemes/arpwatch"     // arpwatch
 	_ "repro/internal/schemes/dai"          // dai
 	_ "repro/internal/schemes/flooddetect"  // flood-detect
+	_ "repro/internal/schemes/hybrid"       // hybrid-guard
 	_ "repro/internal/schemes/kernelpolicy" // kernel-policy
 	_ "repro/internal/schemes/middleware"   // middleware
 	_ "repro/internal/schemes/portsec"      // port-security

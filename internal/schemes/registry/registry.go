@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/ethaddr"
 	"repro/internal/netsim"
@@ -149,12 +150,20 @@ func (e *Env) check() error {
 // ResolveFunc resolves an address through a scheme's resolution path.
 type ResolveFunc func(ip ethaddr.IPv4, done func(ethaddr.MAC, bool))
 
-// Incident is a correlated, operator-actionable detection record exposed
-// uniformly by deployments that aggregate alerts (the hybrid guard).
+// Incident is a correlated detection record exposed uniformly by
+// deployments that aggregate alerts (the hybrid guard): every alert about
+// one IP folded into one record.
 type Incident struct {
-	IP        ethaddr.IPv4
-	Suspect   ethaddr.MAC
+	IP      ethaddr.IPv4
+	Suspect ethaddr.MAC // most recently asserted offending MAC
+	FirstAt time.Duration
+	LastAt  time.Duration
+	Alerts  int
+	// Confirmed is set once an active verification corroborated it.
 	Confirmed bool
+	// Actionable marks an incident an operator would page on: with a
+	// verifier deployed only confirmed ones, otherwise every incident.
+	Actionable bool
 }
 
 // Instance is one deployed scheme.
@@ -169,8 +178,8 @@ type Instance struct {
 	// Resolvers maps hosts to the scheme's resolution entry point; only
 	// protocol replacements populate it.
 	Resolvers map[*stack.Host]ResolveFunc
-	// IncidentsFn reports correlated actionable incidents; nil for schemes
-	// without incident aggregation.
+	// IncidentsFn reports every correlated incident, in first-alert order;
+	// nil for schemes without incident aggregation.
 	IncidentsFn func() []Incident
 }
 
@@ -186,13 +195,19 @@ func (inst *Instance) ResolverFor(h *stack.Host) ResolveFunc {
 	return h.Resolve
 }
 
-// ActionableIncidents returns the deployment's correlated incidents, nil
+// ActionableIncidents returns the deployment's actionable incidents, nil
 // when the scheme does not aggregate alerts.
 func (inst *Instance) ActionableIncidents() []Incident {
 	if inst == nil || inst.IncidentsFn == nil {
 		return nil
 	}
-	return inst.IncidentsFn()
+	var out []Incident
+	for _, inc := range inst.IncidentsFn() {
+		if inc.Actionable {
+			out = append(out, inc)
+		}
+	}
+	return out
 }
 
 // Factory is one registered scheme.
@@ -201,8 +216,8 @@ type Factory struct {
 	// built-ins).
 	Name string
 	// Package is the sub-package under internal/schemes implementing the
-	// scheme ("" for schemes living elsewhere, e.g. the hybrid guard in
-	// internal/core). The completeness test maps directories to factories
+	// scheme ("" for schemes living elsewhere, e.g. address defense in
+	// internal/stack). The completeness test maps directories to factories
 	// through this field.
 	Package string
 	// Description is the one-line catalogue entry.

@@ -54,7 +54,7 @@ func TestRegistryCompleteness(t *testing.T) {
 	}
 	// Schemes living outside internal/schemes register with Package unset;
 	// pin the ones the framework ships so a lost registration is caught.
-	for _, name := range []string{registry.NameHybridGuard, registry.NameAddressDefense} {
+	for _, name := range []string{registry.NameAddressDefense} {
 		if _, ok := registry.Lookup(name); !ok {
 			t.Errorf("externally-implemented scheme %q is not registered", name)
 		}
@@ -242,4 +242,21 @@ func TestStackDeterministicAlertStream(t *testing.T) {
 	if second := runOnce(); first != second {
 		t.Fatalf("alert streams diverged:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
+}
+
+// FuzzStack feeds arbitrary "a+b+c" stack expressions to ParseStack and
+// arbitrary raw JSON parameters to ValidateParams for every registered
+// scheme. Garbage must come back as an error, never a panic; a stack that
+// parses must also validate on its own.
+func FuzzStack(f *testing.F) {
+	f.Fuzz(func(t *testing.T, expr string, raw []byte) {
+		if st, err := registry.ParseStack(expr); err == nil {
+			if err := st.Validate(); err != nil {
+				t.Fatalf("ParseStack(%q) accepted a stack Validate rejects: %v", expr, err)
+			}
+		}
+		for _, name := range registry.Names() {
+			_ = registry.ValidateParams(name, raw)
+		}
+	})
 }

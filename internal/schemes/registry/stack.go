@@ -162,16 +162,6 @@ type StackInstance struct {
 // Correlation returns the de-duplication statistics so far.
 func (si *StackInstance) Correlation() CorrelationStats { return si.corr.stats }
 
-// Member returns the deployed instance of the named scheme, nil if absent.
-func (si *StackInstance) Member(name string) *Instance {
-	for _, m := range si.Members {
-		if m.Factory.Name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // ResolverFor returns h's resolution path under the stack: the first
 // protocol-replacement member claiming h wins, else plain ARP.
 func (si *StackInstance) ResolverFor(h *stack.Host) ResolveFunc {
@@ -183,15 +173,6 @@ func (si *StackInstance) ResolverFor(h *stack.Host) ResolveFunc {
 		}
 	}
 	return h.Resolve
-}
-
-// ActionableIncidents merges every member's correlated incidents.
-func (si *StackInstance) ActionableIncidents() []Incident {
-	var out []Incident
-	for _, m := range si.Members {
-		out = append(out, m.ActionableIncidents()...)
-	}
-	return out
 }
 
 // StackHostOptions collects the construction-time host options every member

@@ -4,9 +4,12 @@
 # Runs, in order: formatting check, vet, build, the full test suite, a
 # race-detector pass over the packages that exercise the whole stack at
 # once, the hot-path allocation gates (encode/decode, cache, CAM, unicast
-# transit must stay at 0 allocs/op), and an experiment-registry completeness
+# transit must stay at 0 allocs/op), an experiment-registry completeness
 # leg (a small-trial pass of every experiment, diffed against the arpbench
-# -list catalogue). Any failure stops the run with a non-zero exit.
+# -list catalogue), a byte-exact evaluation gate (the recorded-trial-count
+# evaluation diffed against evaluation_output.txt), and a short fuzz pass
+# over the scheme registry's parsers. Any failure stops the run with a
+# non-zero exit.
 #
 #   ./scripts/check.sh          # the full gate
 #   make check                  # same, via the Makefile
@@ -75,5 +78,32 @@ if ! diff -u "$tmpdir/listed" "$tmpdir/rendered"; then
 	echo "arpbench -list catalogue and rendered artifacts disagree" >&2
 	exit 1
 fi
+
+echo "==> evaluation byte-exact vs evaluation_output.txt (-trials 10, host-timed lines masked)"
+# Table 4's s-arp/tarp rows and CPU note are wall-clock ECDSA timings, and
+# Figure 3's s-arp/tarp series move by a byte with the DER signature length
+# (crypto/rand); everything else must regenerate byte for byte.
+mask() {
+	awk '
+		/^Table 4:/ { t4 = 1 }
+		/^Figure 3:/ { f3 = 1 }
+		/^$/ { t4 = 0; f3 = 0; series = 0 }
+		t4 && ($1 == "tarp" || $1 == "s-arp") { print $1 " <host-timed>"; next }
+		t4 && /^note: CPU figures measured/ { print "note: CPU figures <host-timed>"; next }
+		f3 && /^-- series / { series = ($3 == "s-arp" || $3 == "tarp"); print; next }
+		f3 && series { print $1 " <signature-length>"; next }
+		{ print }
+	' "$1"
+}
+"$tmpdir/arpbench" -trials 10 -cache >"$tmpdir/eval.txt"
+mask evaluation_output.txt >"$tmpdir/want.txt"
+mask "$tmpdir/eval.txt" >"$tmpdir/got.txt"
+if ! diff -u "$tmpdir/want.txt" "$tmpdir/got.txt"; then
+	echo "evaluation output drifted from evaluation_output.txt" >&2
+	exit 1
+fi
+
+echo "==> fuzz scheme registry parsers (FuzzStack, 10s)"
+go test -run '^$' -fuzz '^FuzzStack$' -fuzztime=10s ./internal/schemes/registry
 
 echo "==> all checks passed"
