@@ -58,9 +58,7 @@ type Stats struct {
 type session struct {
 	claimedMAC ethaddr.MAC
 	oldMAC     ethaddr.MAC
-	startedAt  time.Duration
 	repliers   map[ethaddr.MAC]bool
-	span       *telemetry.Span
 }
 
 // Prober is the active-verification appliance. It observes mirrored traffic
@@ -80,7 +78,6 @@ type Prober struct {
 	stats       Stats
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer      *telemetry.Tracer
 	mProbes     *telemetry.Counter
 	mSuspicions *telemetry.Counter
 	mConfirmed  *telemetry.Counter
@@ -115,12 +112,10 @@ func (p *Prober) Name() string { return "active-probe" }
 // Stats returns a copy of the prober counters.
 func (p *Prober) Stats() Stats { return p.stats }
 
-// Instrument attaches the prober to a telemetry registry: probes sent,
-// verification sessions by outcome, and a "verify" span per session so the
-// probe window's contribution to detection latency is visible.
+// Instrument attaches the prober to a telemetry registry: probes sent and
+// verification sessions by outcome (started, confirmed, cleared).
 func (p *Prober) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("scheme", p.Name())
-	p.tracer = reg.Tracer()
 	p.mProbes = reg.Counter("scheme_probes_sent_total", label)
 	p.mSuspicions = reg.Counter("scheme_verifications_total", label, telemetry.L("outcome", "started"))
 	p.mConfirmed = reg.Counter("scheme_verifications_total", label, telemetry.L("outcome", "confirmed"))
@@ -183,16 +178,11 @@ func (p *Prober) verify(ip ethaddr.IPv4, claimed, old ethaddr.MAC, detail string
 	}
 	p.stats.Suspicions++
 	p.mSuspicions.Inc()
-	sess := &session{
+	p.sessions[ip] = &session{
 		claimedMAC: claimed,
 		oldMAC:     old,
-		startedAt:  p.sched.Now(),
 		repliers:   make(map[ethaddr.MAC]bool),
 	}
-	if p.tracer != nil { // don't render ip for a no-op tracer
-		sess.span = p.tracer.Start("verify", ip.String())
-	}
-	p.sessions[ip] = sess
 	p.sendProbe(ip)
 	p.sched.After(p.window/2, func() { p.sendProbe(ip) }) // one retry
 	p.sched.After(p.window, func() { p.conclude(ip, detail) })
@@ -202,9 +192,6 @@ func (p *Prober) verify(ip ethaddr.IPv4, claimed, old ethaddr.MAC, detail string
 func (p *Prober) sendProbe(ip ethaddr.IPv4) {
 	p.stats.Probes++
 	p.mProbes.Inc()
-	if sess, ok := p.sessions[ip]; ok {
-		sess.span.Phase("probe")
-	}
 	probe := arppkt.NewProbe(p.host.MAC(), ip)
 	p.host.SendFrame(p.host.NewARPFrame(probe, ethaddr.BroadcastMAC))
 }
@@ -238,7 +225,6 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 	case len(sess.repliers) > 1:
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertConflict,
 			IP: ip, OldMAC: sess.oldMAC, NewMAC: sess.claimedMAC,
@@ -254,13 +240,11 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 			// binding itself: benign (covers DHCP reassignment cleanly).
 			p.stats.Cleared++
 			p.mCleared.Inc()
-			sess.span.Finish("cleared")
 			p.bindings[ip] = answer
 			return
 		}
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
 		p.bindings[ip] = answer // trust the prover, restore truth
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertVerifyFailed,
@@ -272,7 +256,6 @@ func (p *Prober) conclude(ip ethaddr.IPv4, detail string) {
 		// binding for an absent host looks exactly like this.
 		p.stats.Confirmed++
 		p.mConfirmed.Inc()
-		sess.span.Finish("confirmed")
 		p.sink.Report(schemes.Alert{
 			At: now, Scheme: p.Name(), Kind: schemes.AlertVerifyFailed,
 			IP: ip, OldMAC: sess.oldMAC, NewMAC: sess.claimedMAC,

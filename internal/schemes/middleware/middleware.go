@@ -50,7 +50,6 @@ type Stats struct {
 type session struct {
 	packet   *arppkt.Packet
 	repliers map[ethaddr.MAC]bool
-	span     *telemetry.Span
 }
 
 // Guard is the per-host middleware. Install exactly one per protected host.
@@ -64,7 +63,6 @@ type Guard struct {
 	rec      *causal.Recorder
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer       *telemetry.Tracer
 	mProbes      *telemetry.Counter
 	mQuarantined *telemetry.Counter
 	mCommitted   *telemetry.Counter
@@ -94,13 +92,10 @@ func (g *Guard) Name() string { return "middleware" }
 // Stats returns a copy of the counters.
 func (g *Guard) Stats() Stats { return g.stats }
 
-// Instrument attaches the guard to a telemetry registry. Each quarantine
-// opens a "verify" span (phases mark probes, the outcome is commit/reject),
-// so the verification delay the scheme imposes shows up alongside the
-// resolver's own latency histogram.
+// Instrument attaches the guard to a telemetry registry: probes sent and
+// quarantines by outcome (opened, committed, rejected).
 func (g *Guard) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("scheme", g.Name())
-	g.tracer = reg.Tracer()
 	g.mProbes = reg.Counter("scheme_probes_sent_total", label)
 	g.mQuarantined = reg.Counter("scheme_quarantines_total", label, telemetry.L("outcome", "opened"))
 	g.mCommitted = reg.Counter("scheme_quarantines_total", label, telemetry.L("outcome", "committed"))
@@ -178,14 +173,10 @@ func (g *Guard) quarantine(p *arppkt.Packet) {
 	}
 	g.stats.Quarantined++
 	g.mQuarantined.Inc()
-	sess := &session{
+	g.sessions[ip] = &session{
 		packet:   p,
 		repliers: make(map[ethaddr.MAC]bool),
 	}
-	if g.tracer != nil { // don't render ip for a no-op tracer
-		sess.span = g.tracer.Start("verify", ip.String())
-	}
-	g.sessions[ip] = sess
 	// Probe immediately and then every retry interval until the window
 	// closes: longer windows buy loss tolerance, which is exactly the
 	// trade the window-ablation experiment measures.
@@ -208,9 +199,6 @@ func (g *Guard) quarantine(p *arppkt.Packet) {
 func (g *Guard) sendProbe(ip ethaddr.IPv4) {
 	g.stats.Probes++
 	g.mProbes.Inc()
-	if sess, ok := g.sessions[ip]; ok {
-		sess.span.Phase("probe")
-	}
 	probe := arppkt.NewProbe(g.host.MAC(), ip)
 	g.host.SendFrame(g.host.NewARPFrame(probe, ethaddr.BroadcastMAC))
 }
@@ -227,13 +215,11 @@ func (g *Guard) conclude(ip ethaddr.IPv4) {
 	if len(sess.repliers) == 1 && sess.repliers[claimed] {
 		g.stats.Committed++
 		g.mCommitted.Inc()
-		sess.span.Finish("commit")
 		g.host.ProcessARP(sess.packet)
 		return
 	}
 	g.stats.Rejected++
 	g.mRejected.Inc()
-	sess.span.Finish("reject")
 	detail := "probe unanswered"
 	if len(sess.repliers) > 1 {
 		detail = "conflicting probe answers"

@@ -35,7 +35,6 @@ type pending struct {
 	timer     sim.Timer
 	waiters   []func(ethaddr.MAC, bool)
 	startedAt time.Duration
-	span      *telemetry.Span // nil (no-op) when the host is uninstrumented
 }
 
 // Run fires one resolution retry; implements sim.Task for the retry timer.
@@ -149,7 +148,6 @@ type Host struct {
 	started        bool
 
 	// Telemetry handles; nil (no-op) unless Instrument is called.
-	tracer       *telemetry.Tracer
 	events       *telemetry.EventLog
 	mResolveOK   *telemetry.Counter
 	mResolveFail *telemetry.Counter
@@ -207,14 +205,12 @@ func (h *Host) Cache() *Cache { return h.cache }
 func (h *Host) Stats() Stats { return h.stats }
 
 // Instrument attaches the host stack to a telemetry registry: cache
-// hit/miss and mutation counters, resolver retry/outcome counters, the
-// resolution-latency histogram, and a "resolve" span per resolution
-// lifecycle (request emitted → reply received → cache commit or failure).
-// All metrics carry a host label so multi-host runs stay attributable.
+// hit/miss and mutation counters, resolver retry/outcome counters, and the
+// resolution-latency histogram (request emitted → cache commit). All
+// metrics carry a host label so multi-host runs stay attributable.
 func (h *Host) Instrument(reg *telemetry.Registry) {
 	label := telemetry.L("host", h.name)
 	h.cache.Instrument(reg, label)
-	h.tracer = reg.Tracer()
 	h.events = reg.Events()
 	h.mResolveOK = reg.Counter("stack_resolutions_total", label, telemetry.L("outcome", "ok"))
 	h.mResolveFail = reg.Counter("stack_resolutions_total", label, telemetry.L("outcome", "fail"))
@@ -257,7 +253,6 @@ func (h *Host) Start() {
 func (h *Host) Restart() {
 	for ip, pd := range h.pendings {
 		pd.timer.Stop()
-		pd.span.Finish("abandoned")
 		delete(h.pendings, ip)
 	}
 	h.cache.Flush()
@@ -366,9 +361,6 @@ func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
 		return pd
 	}
 	pd := &pending{host: h, ip: ip, startedAt: h.sched.Now()}
-	if h.tracer != nil { // don't render ip for a no-op tracer
-		pd.span = h.tracer.Start("resolve", ip.String())
-	}
 	h.pendings[ip] = pd
 	h.sendRequest(ip, pd)
 	return pd
@@ -376,7 +368,6 @@ func (h *Host) ensurePending(ip ethaddr.IPv4) *pending {
 
 // sendRequest emits one who-has and arms the retry timer.
 func (h *Host) sendRequest(ip ethaddr.IPv4, pd *pending) {
-	pd.span.Phase("request")
 	h.sendARP(arppkt.NewRequest(h.MAC(), h.ip, ip), ethaddr.BroadcastMAC)
 	pd.timer = h.sched.AfterTask(h.resolveInterval, pd)
 }
@@ -387,7 +378,6 @@ func (h *Host) failResolution(ip ethaddr.IPv4, pd *pending) {
 	h.stats.ResolveFail++
 	h.stats.QueuedDropped += uint64(len(pd.queue))
 	h.mResolveFail.Inc()
-	pd.span.Finish("fail")
 	if h.events != nil { // don't box Warnf args for a no-op log
 		h.events.Warnf("stack", "%s: resolution of %s failed after %d tries, %d queued packets dropped",
 			h.name, ip, pd.retries, len(pd.queue))
@@ -408,8 +398,6 @@ func (h *Host) completeResolution(ip ethaddr.IPv4, mac ethaddr.MAC) {
 	h.stats.ResolveOK++
 	h.mResolveOK.Inc()
 	h.mResolveLat.ObserveDuration(h.sched.Now() - pd.startedAt)
-	pd.span.Phase("reply")
-	pd.span.Finish("commit")
 	for _, q := range pd.queue {
 		h.transmitIPv4(mac, ip, q.proto, q.payload)
 	}

@@ -34,25 +34,6 @@ func TestHostInstrumentResolutionMetrics(t *testing.T) {
 	if h.Sum() <= 0 || h.Sum() > 1 {
 		t.Fatalf("latency sum = %v, want a small positive virtual latency", h.Sum())
 	}
-
-	// The resolve span completed with a commit outcome and both phases.
-	snap := reg.Snapshot()
-	var found bool
-	for _, sp := range snap.Spans {
-		if sp.Name == "resolve" && sp.Outcome == "commit" && sp.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no resolve/commit span summary: %+v", snap.Spans)
-	}
-	recs := reg.Tracer().Completed()
-	if len(recs) != 1 || len(recs[0].Phases) != 2 {
-		t.Fatalf("span records = %+v", recs)
-	}
-	if recs[0].Phases[0].Name != "request" || recs[0].Phases[1].Name != "reply" {
-		t.Fatalf("phases = %+v", recs[0].Phases)
-	}
 }
 
 func TestHostInstrumentFailureAndRetries(t *testing.T) {
@@ -75,18 +56,7 @@ func TestHostInstrumentFailureAndRetries(t *testing.T) {
 	if got := reg.Counter("stack_resolve_retries_total", host).Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2 (3 tries = initial + 2 retries)", got)
 	}
-	// The failure produced a span with outcome "fail" and a warn event.
-	snap := reg.Snapshot()
-	var failSpan bool
-	for _, sp := range snap.Spans {
-		if sp.Name == "resolve" && sp.Outcome == "fail" {
-			failSpan = true
-		}
-	}
-	if !failSpan {
-		t.Fatalf("no resolve/fail span: %+v", snap.Spans)
-	}
-	if snap.Events.Warn == 0 {
+	if reg.Snapshot().Events.Warn == 0 {
 		t.Fatal("resolution failure should log a warn event")
 	}
 }

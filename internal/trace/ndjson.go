@@ -163,47 +163,69 @@ func ParseNDJSONLine(line []byte, rec *WireRecord) error {
 	return nil
 }
 
-var (
-	atField   = []byte(`"at":`)
-	wireField = []byte(`"wire":"`)
-)
+// ndjsonFields is the key sequence WriteNDJSON emits between at and wire.
+// A key ending in a quote opens a string value; the others take an
+// unsigned integer. info is omitted when empty.
+var ndjsonFields = [...]string{`,"port":`, `,"src":"`, `,"dst":"`, `,"type":"`, `,"wireLen":`, `,"info":"`}
 
 // scanNDJSONLine extracts the at and wire fields from a canonical stream
-// line without a JSON decoder: at is a bare integer and wire is the final
-// field, base64 over an alphabet JSON never escapes, so a byte scan is
-// exact for everything WriteNDJSON produces. ok=false means the line is
-// not canonical and the caller must take the slow path.
+// line without a JSON decoder. Canonical means exactly the shape
+// WriteNDJSON emits: {"at":<integer of at most 18 digits, so it cannot
+// overflow>, then the ndjsonFields keys in order with unescaped values,
+// then "wire":"<base64>"}. Anything else — a repeated or case-folded key
+// that encoding/json would decode into at or wire, whitespace, escapes,
+// reordered fields — yields ok=false and the caller takes the slow path.
 func scanNDJSONLine(line []byte) (at time.Duration, wire []byte, ok bool) {
-	i := bytes.Index(line, atField)
-	if i < 0 {
+	rest, found := bytes.CutPrefix(line, []byte(`{"at":`))
+	if !found {
 		return 0, nil, false
 	}
-	j := i + len(atField)
-	neg := false
-	if j < len(line) && line[j] == '-' {
-		neg = true
-		j++
+	neg := len(rest) > 0 && rest[0] == '-'
+	if neg {
+		rest = rest[1:]
 	}
-	start := j
-	var n int64
-	for j < len(line) && line[j] >= '0' && line[j] <= '9' {
-		n = n*10 + int64(line[j]-'0')
-		j++
-	}
-	if j == start || (j < len(line) && line[j] != ',' && line[j] != '}') {
+	n, digits := leadingInt(rest)
+	if digits == 0 || digits > 18 || (digits > 1 && rest[0] == '0') {
 		return 0, nil, false
 	}
 	if neg {
 		n = -n
 	}
-	w := bytes.Index(line[j:], wireField)
-	if w < 0 {
+	rest = rest[digits:]
+	for i, key := range ndjsonFields {
+		if !bytes.HasPrefix(rest, []byte(key)) {
+			if i == len(ndjsonFields)-1 {
+				break // info is optional
+			}
+			return 0, nil, false
+		}
+		rest = rest[len(key):]
+		var end int
+		if key[len(key)-1] == '"' {
+			end = bytes.IndexByte(rest, '"') + 1
+		} else {
+			_, end = leadingInt(rest)
+		}
+		if end <= 0 {
+			return 0, nil, false
+		}
+		rest = rest[end:]
+	}
+	head := line[:len(line)-len(rest)]
+	rest, found = bytes.CutPrefix(rest, []byte(`,"wire":"`))
+	if !found || !bytes.HasSuffix(rest, []byte(`"}`)) || bytes.IndexByte(head, '\\') >= 0 {
 		return 0, nil, false
 	}
-	v := line[j+w+len(wireField):]
-	end := bytes.IndexByte(v, '"')
-	if end < 0 || bytes.IndexByte(v[:end], '\\') >= 0 {
-		return 0, nil, false
+	// base64 decoding rejects any quote or escape left in the value.
+	return time.Duration(n), rest[:len(rest)-2], true
+}
+
+// leadingInt parses the decimal digits that open b, returning their value
+// and count. Callers bound the count before trusting the value.
+func leadingInt(b []byte) (n int64, digits int) {
+	for digits < len(b) && digits < 19 && b[digits] >= '0' && b[digits] <= '9' {
+		n = n*10 + int64(b[digits]-'0')
+		digits++
 	}
-	return time.Duration(n), v[:end], true
+	return n, digits
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -134,6 +136,53 @@ func TestParseNDJSONLineErrors(t *testing.T) {
 		if err := ParseNDJSONLine([]byte(line), &rec); err == nil {
 			t.Errorf("line %q: want error", line)
 		}
+	}
+}
+
+// TestParseNDJSONLineMatchesDecoder pins that the fast scan never decodes a
+// line differently from encoding/json: overflowing timestamps fail instead
+// of wrapping, and a later key that JSON would decode into at or wire wins
+// as it does there.
+func TestParseNDJSONLineMatchesDecoder(t *testing.T) {
+	canonical := `{"at":7,"port":0,"src":"a","dst":"b","type":"ARP","wireLen":60,"info":"at","wire":"AAEC"}`
+	for _, tc := range []struct {
+		name, line string
+		at         time.Duration
+		wire       string // base64; "" means the line must fail
+	}{
+		{"canonical", canonical, 7, "AAEC"},
+		{"canonical without info", `{"at":-7,"port":1,"src":"a","dst":"b","type":"IPv4","wireLen":60,"wire":"AAEC"}`, -7, "AAEC"},
+		{"minimal", `{"at":5,"wire":"AAEC"}`, 5, "AAEC"},
+		{"max int64", `{"at":9223372036854775807,"wire":"AAEC"}`, math.MaxInt64, "AAEC"},
+		{"min int64", `{"at":-9223372036854775808,"wire":"AAEC"}`, math.MinInt64, "AAEC"},
+		{"uint64 overflow", `{"at":18446744073709551615,"wire":"AAEC"}`, 0, ""},
+		{"int64 underflow", `{"at":-9223372036854775809,"wire":"AAEC"}`, 0, ""},
+		{"twenty digits", `{"at":10000000000000000000,"wire":"AAEC"}`, 0, ""},
+		{"repeated at", `{"at":1,"at":2,"wire":"AAEC"}`, 2, "AAEC"},
+		{"case-folded at", `{"at":1,"At":2,"wire":"AAEC"}`, 2, "AAEC"},
+		{"escaped at", `{"at":1,"\u0061t":2,"wire":"AAEC"}`, 2, "AAEC"},
+		{"spaced at", `{"at":1,"at" :2,"wire":"AAEC"}`, 2, "AAEC"},
+		{"repeated wire", `{"at":1,"wire":"AAEC","wire":"AAED"}`, 1, "AAED"},
+		{"mistyped earlier wire", `{"at":1,"WIRE":5,"wire":"AAEC"}`, 0, ""},
+		{"mistyped later at", `{"at":1,"AT":"x","wire":"AAEC"}`, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rec WireRecord
+			err := ParseNDJSONLine([]byte(tc.line), &rec)
+			if tc.wire == "" {
+				if err == nil {
+					t.Fatalf("accepted: at=%v wire=%x", rec.At, rec.Wire)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := base64.StdEncoding.DecodeString(tc.wire)
+			if rec.At != tc.at || !bytes.Equal(rec.Wire, want) {
+				t.Errorf("got at=%v wire=%x, want at=%v wire=%x", rec.At, rec.Wire, tc.at, want)
+			}
+		})
 	}
 }
 

@@ -7,9 +7,9 @@
 # transit must stay at 0 allocs/op), an experiment-registry completeness
 # leg (a small-trial pass of every experiment, diffed against the arpbench
 # -list catalogue), a byte-exact evaluation gate (the recorded-trial-count
-# evaluation diffed against evaluation_output.txt), and a short fuzz pass
-# over the scheme registry's parsers. Any failure stops the run with a
-# non-zero exit.
+# evaluation diffed against evaluation_output.txt), and short fuzz passes
+# over the scheme registry's parsers and the two capture readers (pcap and
+# NDJSON). Any failure stops the run with a non-zero exit.
 #
 #   ./scripts/check.sh          # the full gate
 #   make check                  # same, via the Makefile
@@ -105,5 +105,9 @@ fi
 
 echo "==> fuzz scheme registry parsers (FuzzStack, 10s)"
 go test -run '^$' -fuzz '^FuzzStack$' -fuzztime=10s ./internal/schemes/registry
+
+echo "==> fuzz capture readers (FuzzParseNDJSONLine, FuzzPCAPReader, 10s each)"
+go test -run '^$' -fuzz '^FuzzParseNDJSONLine$' -fuzztime=10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzPCAPReader$' -fuzztime=10s ./internal/trace
 
 echo "==> all checks passed"
