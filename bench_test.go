@@ -386,6 +386,48 @@ func BenchmarkSwitchForward(b *testing.B) {
 	}
 }
 
+func BenchmarkSwitchLearnFullCAM(b *testing.B) {
+	// The CAM-flood hot path: every iteration is one frame from a new
+	// source MAC at a full 1024-entry table, so the switch refuses to
+	// learn and fails open, flooding the frame.
+	s := sim.NewScheduler(1)
+	sw := netsim.NewSwitch(s)
+	gen := ethaddr.NewGen(1)
+	a := netsim.NewNIC(s, gen.SeqMAC())
+	c := netsim.NewNIC(s, gen.SeqMAC())
+	sw.AddPort().Attach(a)
+	sw.AddPort().Attach(c)
+	f := &frame.Frame{Dst: gen.SeqMAC(), Type: frame.TypeIPv4, Payload: make([]byte, 64)}
+	src := func(i int) ethaddr.MAC {
+		return ethaddr.MAC{0x02, 0xf1, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
+	}
+	for i := 0; i < 1024; i++ {
+		f.Src = src(i)
+		a.Send(f)
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := sw.CAMLen(); n != 1024 {
+		b.Fatalf("CAM holds %d entries, want 1024", n)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.Src = src(1024 + i)
+		a.Send(f)
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	// Each frame either misses or, once the oldest entries age past the
+	// 300 s TTL in a long run, reclaims an expired slot.
+	if st := sw.Stats(); st.Learned+st.LearnMisses != uint64(1024+b.N) || st.LearnMisses == 0 {
+		b.Fatalf("learned %d, missed %d over %d flood frames", st.Learned-1024, st.LearnMisses, b.N)
+	}
+}
+
 func BenchmarkEndToEndResolution(b *testing.B) {
 	// A full cold ARP resolution through the simulated LAN per iteration.
 	l := labnet.New(labnet.Config{Hosts: 4, WithAttacker: false, WithMonitor: false})

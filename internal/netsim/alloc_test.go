@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ethaddr"
 	"repro/internal/frame"
@@ -25,6 +26,54 @@ func TestCAMLearnRefreshAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("CAM refresh: %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestCAMFullLearnAllocFree covers the CAM-flood path, where every frame
+// is a new source at a full table: a refused learn (fail-open) and an
+// expired-entry reclaim followed by an insert must both be allocation-free.
+func TestCAMFullLearnAllocFree(t *testing.T) {
+	const capacity = 64
+	mac := func(i int) ethaddr.MAC {
+		return ethaddr.MAC{0x02, 0, 0, byte(i >> 16), byte(i >> 8), byte(i)}
+	}
+	t.Run("refused", func(t *testing.T) {
+		s := sim.NewScheduler(1)
+		sw := NewSwitch(s, WithCAMCapacity(capacity))
+		for i := 0; i < capacity; i++ {
+			sw.learn(0, 1, mac(i), 0)
+		}
+		next := capacity
+		allocs := testing.AllocsPerRun(1000, func() {
+			sw.learn(0, 1, mac(next), 0)
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("refused learn: %v allocs/op, want 0", allocs)
+		}
+		if st := sw.Stats(); st.LearnMisses < 1000 || st.Learned != capacity {
+			t.Fatalf("learned %d, missed %d: want every flood source refused", st.Learned, st.LearnMisses)
+		}
+	})
+	t.Run("reclaim", func(t *testing.T) {
+		s := sim.NewScheduler(1)
+		sw := NewSwitch(s, WithCAMCapacity(capacity), WithCAMTTL(time.Second))
+		for i := 0; i < capacity; i++ {
+			sw.learn(0, 1, mac(i), 0)
+		}
+		// Each learn lands one TTL after the previous one, so every entry
+		// has expired and each new source reclaims one slot.
+		next := capacity
+		allocs := testing.AllocsPerRun(1000, func() {
+			sw.learn(0, 1, mac(next), time.Duration(next)*time.Second)
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("expired reclaim + insert: %v allocs/op, want 0", allocs)
+		}
+		if st := sw.Stats(); st.LearnMisses != 0 || st.Learned < capacity+1000 {
+			t.Fatalf("learned %d, missed %d: want every flood source admitted", st.Learned, st.LearnMisses)
+		}
+	})
 }
 
 func TestUnicastTransitAllocFree(t *testing.T) {

@@ -495,6 +495,22 @@ func TestVLANScopedLearning(t *testing.T) {
 	}
 }
 
+func TestCAMLookupAcrossVLANsIsDeterministic(t *testing.T) {
+	// A router-on-a-stick MAC learned in two VLANs: CAMLookup must answer
+	// with the first live entry in insertion order, the same port on every
+	// fresh switch, not whichever entry a map iteration happens to visit.
+	mac := ethaddr.MAC{0x02, 0, 0, 0, 0, 9}
+	for i := 0; i < 200; i++ {
+		s := sim.NewScheduler(1)
+		sw := NewSwitch(s)
+		sw.learn(3, 1, mac, 0)
+		sw.learn(7, 2, mac, 0)
+		if port, ok := sw.CAMLookup(mac); !ok || port != 3 {
+			t.Fatalf("switch %d: CAMLookup = %d, %v; want port 3 (learned first)", i, port, ok)
+		}
+	}
+}
+
 func TestVLANBoundsPoisoningBlastRadius(t *testing.T) {
 	// Segmentation as mitigation: a broadcast poisoning reaches only the
 	// attacker's own segment.

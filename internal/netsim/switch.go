@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"strconv"
 	"time"
 
@@ -19,12 +20,12 @@ type camKey struct {
 	mac  ethaddr.MAC
 }
 
-// camEntry is one learned MAC→port association with an expiry instant and
-// its position in the insertion-order index (camOrder).
+// camEntry is one learned MAC→port association with its expiry instant,
+// stored in a slot of the flat camOrder array.
 type camEntry struct {
+	key     camKey
 	port    int
 	expires time.Duration
-	idx     int
 }
 
 // SwitchStats are forwarding-plane counters for one switch.
@@ -77,12 +78,18 @@ func WithCAMEvictRandom() SwitchOption {
 type Switch struct {
 	sched *sim.Scheduler
 	ports []*Port
-	cam   map[camKey]camEntry
-	// camOrder indexes cam keys in insertion order so eviction victims
+	// cam maps a key to its slot in camOrder. camOrder holds the entries
+	// in insertion order (swap-filled on delete) so eviction victims
 	// (expired reclaim, random eviction) are chosen deterministically —
 	// iterating the map directly would follow Go's per-process randomized
 	// order and make eviction-heavy runs unreproducible across processes.
-	camOrder    []camKey
+	cam      map[camKey]int32
+	camOrder []camEntry
+	// camMinExp is a lower bound on the earliest expiry in camOrder: while
+	// it lies in the future no entry can have expired, so a learn miss at
+	// a full table skips the reclaim scan. Refreshes only raise expiries
+	// and deletes only remove them, so neither can break the bound.
+	camMinExp   time.Duration
 	camCap      int
 	camTTL      time.Duration
 	filter      FilterFunc
@@ -114,7 +121,7 @@ func NewSwitch(s *sim.Scheduler, opts ...SwitchOption) *Switch {
 		sched:   s,
 		rec:     causal.Of(s),
 		cache:   cacheOf(s),
-		cam:     make(map[camKey]camEntry),
+		cam:     make(map[camKey]int32),
 		camCap:  1024,
 		camTTL:  300 * time.Second,
 		mirrSrc: make(map[int]bool),
@@ -270,8 +277,8 @@ func (sw *Switch) Stats() SwitchStats {
 func (sw *Switch) CAMLen() int {
 	now := sw.sched.Now()
 	n := 0
-	for _, e := range sw.cam {
-		if e.expires > now {
+	for i := range sw.camOrder {
+		if sw.camOrder[i].expires > now {
 			n++
 		}
 	}
@@ -279,11 +286,12 @@ func (sw *Switch) CAMLen() int {
 }
 
 // CAMLookup reports the port a station was learned on in any VLAN, if the
-// entry is live.
+// entry is live. A station learned in several VLANs reports the first live
+// entry in insertion order.
 func (sw *Switch) CAMLookup(mac ethaddr.MAC) (int, bool) {
 	now := sw.sched.Now()
-	for k, e := range sw.cam {
-		if k.mac == mac && e.expires > now {
+	for i := range sw.camOrder {
+		if e := &sw.camOrder[i]; e.key.mac == mac && e.expires > now {
 			return e.port, true
 		}
 	}
@@ -292,32 +300,51 @@ func (sw *Switch) CAMLookup(mac ethaddr.MAC) (int, bool) {
 
 // FlushCAM clears the table (administrative action).
 func (sw *Switch) FlushCAM() {
-	sw.cam = make(map[camKey]camEntry)
+	clear(sw.cam)
 	sw.camOrder = sw.camOrder[:0]
+	sw.camMinExp = 0
 }
 
-// camInsert records a new entry and indexes it.
+// camInsert appends a new entry and indexes it.
 func (sw *Switch) camInsert(key camKey, port int, expires time.Duration) {
-	sw.cam[key] = camEntry{port: port, expires: expires, idx: len(sw.camOrder)}
-	sw.camOrder = append(sw.camOrder, key)
+	sw.cam[key] = int32(len(sw.camOrder))
+	sw.camOrder = append(sw.camOrder, camEntry{key: key, port: port, expires: expires})
+	if expires < sw.camMinExp {
+		sw.camMinExp = expires
+	}
 }
 
-// camDelete removes an entry, swap-filling its slot in the order index.
-func (sw *Switch) camDelete(key camKey) {
-	e, ok := sw.cam[key]
-	if !ok {
-		return
-	}
+// camDelete removes the entry in slot i, swap-filling the slot with the
+// last entry.
+func (sw *Switch) camDelete(i int) {
+	delete(sw.cam, sw.camOrder[i].key)
 	last := len(sw.camOrder) - 1
-	moved := sw.camOrder[last]
-	sw.camOrder[e.idx] = moved
-	sw.camOrder = sw.camOrder[:last]
-	if moved != key {
-		me := sw.cam[moved]
-		me.idx = e.idx
-		sw.cam[moved] = me
+	if i != last {
+		moved := sw.camOrder[last]
+		sw.camOrder[i] = moved
+		sw.cam[moved.key] = int32(i)
 	}
-	delete(sw.cam, key)
+	sw.camOrder = sw.camOrder[:last]
+}
+
+// camReclaim deletes the oldest-inserted expired entry and reports whether
+// there was one. A scan that finds none records the exact earliest expiry,
+// so later misses skip the scan until that instant.
+func (sw *Switch) camReclaim(now time.Duration) bool {
+	if sw.camMinExp > now {
+		return false
+	}
+	minExp := time.Duration(math.MaxInt64)
+	for i := range sw.camOrder {
+		exp := sw.camOrder[i].expires
+		if exp <= now {
+			sw.camDelete(i)
+			return true
+		}
+		minExp = min(minExp, exp)
+	}
+	sw.camMinExp = minExp
+	return false
 }
 
 // ingress handles a frame arriving on port id: tap, filter, learn,
@@ -367,12 +394,13 @@ func (sw *Switch) forward(id int, f *frame.Frame) {
 	case f.Dst.IsMulticast(): // includes broadcast
 		reachedMirror = sw.flood(id, f)
 	default:
-		if e, ok := sw.cam[camKey{vlan: vlan, mac: f.Dst}]; ok && e.expires > now {
-			if e.port != id { // else: destination on the ingress segment
+		if i, ok := sw.cam[camKey{vlan: vlan, mac: f.Dst}]; ok && sw.camOrder[i].expires > now {
+			port := sw.camOrder[i].port
+			if port != id { // else: destination on the ingress segment
 				sw.stats.Forwarded++
 				sw.mForwarded.Inc()
-				sw.egressTo(e.port, f)
-				reachedMirror = sw.mirror != nil && e.port == sw.mirror.id
+				sw.egressTo(port, f)
+				reachedMirror = sw.mirror != nil && port == sw.mirror.id
 			}
 		} else {
 			// Unknown unicast: flood within the VLAN. With a flooded CAM
@@ -392,28 +420,20 @@ func (sw *Switch) learn(id int, vlan uint16, src ethaddr.MAC, now time.Duration)
 		return
 	}
 	key := camKey{vlan: vlan, mac: src}
-	if e, ok := sw.cam[key]; ok {
+	if i, ok := sw.cam[key]; ok {
+		e := &sw.camOrder[i]
 		e.port = id
 		e.expires = now + sw.camTTL
-		sw.cam[key] = e
 		return
 	}
-	if len(sw.cam) >= sw.camCap {
-		reclaimed := false
-		for _, k := range sw.camOrder { // oldest-inserted expired entry first
-			if sw.cam[k].expires <= now {
-				sw.camDelete(k)
-				sw.mCAMEvictExp.Inc()
-				reclaimed = true
-				break
-			}
-		}
-		if !reclaimed && sw.evictRandom {
-			sw.camDelete(sw.camOrder[sw.sched.Rand().Intn(len(sw.camOrder))])
+	if len(sw.camOrder) >= sw.camCap {
+		switch {
+		case sw.camReclaim(now):
+			sw.mCAMEvictExp.Inc()
+		case sw.evictRandom:
+			sw.camDelete(sw.sched.Rand().Intn(len(sw.camOrder)))
 			sw.mCAMEvictRand.Inc()
-			reclaimed = true
-		}
-		if !reclaimed {
+		default:
 			sw.stats.LearnMisses++
 			sw.mLearnMisses.Inc()
 			if !sw.failOpen {
